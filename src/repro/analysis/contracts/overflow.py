@@ -26,7 +26,7 @@ from repro.core.binseg import (
     worst_case_inner_product,
 )
 from repro.core.config import BlockingParams, MixGemmConfig
-from repro.core.packing import aligned_kc
+from repro.core.packing import kc_span
 
 from .packing import check_config
 
@@ -79,8 +79,7 @@ def check_overflow(graph, *, accmem_bits: int, blocking: BlockingParams,
             seen_configs.add(config.name)
             diags.extend(check_config(config, node=label, path=path))
         layout = config.layout
-        kc_logical = aligned_kc(blocking.kc * layout.elems_a,
-                                layout.group_elements)
+        kc_logical = kc_span(blocking, layout)
         k_eff = min(k, kc_logical)
         worst = worst_case_inner_product(
             k_eff, config.bw_a, config.bw_b,

@@ -44,7 +44,7 @@ from repro.core.binseg import ceil_div
 from repro.core.config import MixGemmConfig
 from repro.core.isa import BS_GET_COST, BS_IP_COST, BS_SET_COST, KernelCosts
 from repro.core.microengine import group_cycles
-from repro.core.packing import aligned_kc
+from repro.core.packing import kc_span
 
 
 def tile_stage_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
@@ -188,7 +188,7 @@ def kblock_group_counts(config: MixGemmConfig, k: int) -> list[int]:
     """
     lay = config.layout
     blk = config.blocking
-    kc_eff = aligned_kc(blk.kc * lay.elems_a, lay.group_elements)
+    kc_eff = kc_span(blk, lay)
     return [ceil_div(min(kc_eff, k - pc), lay.group_elements)
             for pc in range(0, k, kc_eff)]
 

@@ -44,7 +44,7 @@ from repro.analysis.contracts.overflow import node_config
 from repro.analysis.diagnostics import AnalysisError
 from repro.core.binseg import accumulator_bits_required
 from repro.core.config import BlockingParams, DEFAULT_ACCMEM_BITS
-from repro.core.packing import aligned_kc
+from repro.core.packing import kc_span
 from repro.nn.functional_quant import weight_absmax_scale
 from repro.quant.affine import QuantParams, quantize
 
@@ -369,8 +369,7 @@ class _GraphInterpreter:
         fpg = out_channels // groups
 
         layout = config.layout
-        kc_logical = aligned_kc(self.blocking.kc * layout.elems_a,
-                                layout.group_elements)
+        kc_logical = kc_span(self.blocking, layout)
         rec = GemmRangeRecord(
             label=label, op=node.op, config_name=config.name, k=k,
             kc_logical=kc_logical, group_count=groups,

@@ -12,10 +12,10 @@ diagnostics on any divergence.
 Per step it checks:
 
 * **baked integer panels** -- exact (``==``) equality between every
-  bound GEMM's weight operand (reassembled from the fast path's
-  kc-blocks, or the event executor's B matrix) and the analyzer's
-  independently quantized panel;
-* **wrap behavior** -- the bound GEMM's ``accmem_bits`` and kc-block
+  prepared GEMM's weight operand (reassembled from its stored weights,
+  :meth:`~repro.core.prepared.PreparedGemm.weight_operand`) and the
+  analyzer's independently quantized panel;
+* **wrap behavior** -- the prepared GEMM's ``accmem_bits`` and kc-block
   split boundaries match the analysis (same wrap granularity implies
   the same two's-complement semantics);
 * **dequantization affine** -- the step's baked ``out_scale``/bias
@@ -53,14 +53,6 @@ def _diag(step_label: str, path: str, message: str,
                       path=path)
 
 
-def _bound_gemm_panel(gemm) -> np.ndarray:
-    """The (K, N) int64 weight operand a bound GEMM will actually use."""
-    if gemm.mode == "fast":
-        parts = [blk.astype(np.int64) for _, blk, _ in gemm._blocks]
-        return np.concatenate(parts, axis=0)
-    return np.asarray(gemm._b, dtype=np.int64)
-
-
 def _check_bound_gemm(gemm, panel_ref: np.ndarray, rec, step_label: str,
                       group: int, path: str) -> list[Diagnostic]:
     """One bound executor vs the analyzer's independent derivation."""
@@ -74,7 +66,7 @@ def _check_bound_gemm(gemm, panel_ref: np.ndarray, rec, step_label: str,
             f"{rec.accmem_bits}",
             hint="compile and analyze with the same accmem_bits"))
         return diags
-    panel = _bound_gemm_panel(gemm)
+    panel = gemm.weight_operand()
     if panel.shape != panel_ref.shape:
         diags.append(_diag(
             step_label, path,
@@ -97,7 +89,7 @@ def _check_bound_gemm(gemm, panel_ref: np.ndarray, rec, step_label: str,
                 f"from the analyzed wrap granularity "
                 f"{rec.kc_logical}; wrap points would move"))
         else:
-            starts = [sl.start for sl, _, _ in gemm._blocks]
+            starts = [sl.start for sl in gemm.spans]
             ref = [b.k_start for b in rec.blocks[group]]
             if starts != ref:
                 diags.append(_diag(

@@ -33,8 +33,8 @@ from .packcache import PackingCache
 from .packing import (
     MicroPanel,
     PackedMatrix,
-    aligned_kc,
     create_micro_panel,
+    kc_span,
     pack_matrix_a,
     pack_matrix_b,
 )
@@ -142,10 +142,7 @@ class MixGemm:
         self.last_decision: BackendDecision | None = None
         self.engine = MicroEngine(emulate_datapath=emulate_datapath,
                                   fault_hook=fault_hook)
-        # kc counts 64-bit u-vectors; convert to logical elements and align
-        # to whole accumulation groups so k-slices never split a u-vector.
-        self._kc = aligned_kc(config.blocking.kc * config.layout.elems_a,
-                              config.layout.group_elements)
+        self._kc = kc_span(config.blocking, config.layout)
 
     # -- public API -----------------------------------------------------------
 

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .binseg import BinSegError, ceil_div, value_range
-from .config import MixGemmConfig, UVectorLayout
+from .config import BlockingParams, MixGemmConfig, UVectorLayout
 
 
 def pack_word(values: Sequence[int], bw: int, word_bits: int = 64) -> int:
@@ -347,3 +347,13 @@ def create_panel(
 def aligned_kc(kc: int, group_elements: int) -> int:
     """Round the kc blocking down to a whole number of groups (min 1)."""
     return max(group_elements, (kc // group_elements) * group_elements)
+
+
+def kc_span(blocking: BlockingParams, layout: UVectorLayout) -> int:
+    """Logical k elements one kc-block covers.
+
+    ``kc`` counts 64-bit u-vectors (Table I), so the span scales with the
+    compression factor; it is aligned to whole accumulation groups so a
+    k-slice never splits a u-vector.
+    """
+    return aligned_kc(blocking.kc * layout.elems_a, layout.group_elements)

@@ -21,18 +21,21 @@ arithmetic.
   into the producing step's epilogue;
 * conv lowering state (output geometry, the padded scratch buffer) is
   cached per input shape, replacing the per-call ``np.pad``;
-* event-backend weight panels are pre-packed into the shared
-  :class:`~repro.core.packcache.PackingCache`, and one reusable
-  executor is bound per (config, layer) instead of one per call;
-* fast-backend weight operands are validated, split into kc-blocks and
-  pre-cast once, with per-call cycles served by the memoized
-  :func:`~repro.core.fastpath.fastpath_timing` oracle.
+* every quantized weight operand is bound once, per (layer, group), as
+  a :class:`~repro.core.prepared.PreparedGemm`: fast-mode operands are
+  validated, split into kc-blocks and pre-cast once, with per-call
+  cycles served by the memoized
+  :func:`~repro.core.fastpath.fastpath_timing` oracle; event-mode
+  panels are pre-packed into the shared
+  :class:`~repro.core.packcache.PackingCache` behind one reusable
+  executor.
 
 Bit-exactness is a design invariant, not an aspiration: every float
 operation the plan executes is the *same numpy expression in the same
 order* as the uncompiled engine (shared kernels live in
-:mod:`repro.runtime.ops`), the integer GEMM path reproduces
-:func:`~repro.core.fastpath.run_fastpath` block by block, and the
+:mod:`repro.runtime.ops`), the integer GEMM path is the same
+:class:`~repro.core.prepared.PreparedGemm` arithmetic that
+:func:`~repro.core.fastpath.run_fastpath` runs per call, and the
 BN/activation "fusion" hoists only *constant computation* -- the
 per-element float sequence is untouched.  ``tests/runtime/test_plan.py``
 asserts equality (outputs and per-layer cycles), never closeness.
@@ -73,24 +76,14 @@ import numpy as np
 
 from repro.core.errors import ReproError
 
-from repro.core.backend import resolve_backend
-from repro.core.binseg import value_range
 from repro.core.config import (
-    ACCMEM_CONTAINER_BITS,
     BlockingParams,
     DEFAULT_ACCMEM_BITS,
     EXECUTION_BACKENDS,
     MixGemmConfig,
 )
-from repro.core.fastpath import (
-    _FLOAT64_EXACT,
-    fastpath_applicable,
-    fastpath_timing,
-    wrap_signed_array,
-)
-from repro.core.gemm import KernelCosts, MixGemm
 from repro.core.packcache import PackingCache
-from repro.core.packing import _check_matrix, aligned_kc
+from repro.core.prepared import PreparedGemm, backend_capability
 from repro.nn.functional_quant import weight_absmax_scale
 from repro.nn.im2col import rows_to_nchw
 from repro.quant.affine import QuantParams, quantize
@@ -101,7 +94,7 @@ from .graph import GraphError, GraphModel, NodeSpec
 from .observe import observe_range
 
 
-# -- bound GEMM executors -----------------------------------------------------
+# -- activation quantization --------------------------------------------------
 
 
 class _ActQuantizer:
@@ -124,107 +117,6 @@ class _ActQuantizer:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         q = (x / self._scale + self._zp).round()
         return q.clip(self._qmin, self._qmax).astype(np.int64)
-
-
-class _BoundGemm:
-    """One (config, layer, group) GEMM with the weight operand baked in.
-
-    The backend decision is taken **once** at bind time with the same
-    rules the engine applies per call (guard-free compile implies no
-    hooks, so :func:`~repro.core.backend.resolve_backend` sees the
-    identical inputs).  The fast mode reproduces
-    :func:`~repro.core.fastpath.run_fastpath` exactly -- same kc-block
-    splits, same float64-vs-int64 cast rule, same wrap -- with the
-    weight-side validation, casting and timing loop hoisted out of the
-    call.  The event mode keeps one reusable
-    :class:`~repro.core.gemm.MixGemm`; per-call cycles are the engine
-    clock *delta*, which equals a fresh executor's count because the
-    micro-kernel timing is translation invariant (see the
-    :mod:`repro.core.fastpath` module docstring).
-    """
-
-    def __init__(self, b: np.ndarray, config: MixGemmConfig,
-                 gemm_backend: str, pack_cache: PackingCache) -> None:
-        self.config = config
-        self.k, self.n = b.shape
-        self._costs = KernelCosts()
-        decision = resolve_backend(gemm_backend, config,
-                                   emulate_datapath=False)
-        self.mode = ("fast" if decision.is_fast
-                     and fastpath_applicable(config, self.k) is None
-                     else "event")
-        self.prepacked = False
-        if self.mode == "fast":
-            b64 = _check_matrix(b, config.bw_b, config.signed_b, "B")
-            lay = config.layout
-            kc_eff = aligned_kc(config.blocking.kc * lay.elems_a,
-                                lay.group_elements)
-            lo_a, hi_a = value_range(config.bw_a, config.signed_a)
-            lo_b, hi_b = value_range(config.bw_b, config.signed_b)
-            amax = max(abs(lo_a), abs(hi_a))
-            bmax = max(abs(lo_b), abs(hi_b))
-            self.accmem_bits = config.accmem_bits
-            self.kc_eff = kc_eff
-            self._blocks: list[tuple[slice, np.ndarray, bool]] = []
-            for pc in range(0, self.k, kc_eff):
-                kc_blk = min(kc_eff, self.k - pc)
-                blk = b64[pc:pc + kc_blk, :]
-                exact = kc_blk * amax * bmax < _FLOAT64_EXACT
-                self._blocks.append((
-                    slice(pc, pc + kc_blk),
-                    blk.astype(np.float64) if exact else blk,
-                    exact,
-                ))
-            self._single = (self._blocks[0] if len(self._blocks) == 1
-                            else None)
-            self._cycles_by_m: dict[int, int] = {}
-        else:
-            self._b = b
-            self._executor = MixGemm(config, emulate_datapath=False,
-                                    backend="event",
-                                    pack_cache=pack_cache)
-            self.prepacked = pack_cache.prewarm("B", b, config)
-
-    def __call__(self, a: np.ndarray) -> tuple[np.ndarray, int]:
-        """``(C, cycles)`` for int64 ``a`` already in the config's range.
-
-        The A-side ``_check_matrix`` is provably redundant here --
-        ``quantize`` clipped the activations into exactly the
-        ``(bw_a, signed_a)`` range this config declares -- so the fast
-        mode skips it; values and cycles are unaffected.
-        """
-        if self.mode == "event":
-            engine = self._executor.engine
-            before = engine.now
-            res = self._executor.gemm(a, self._b)
-            return res.c, res.cycles - before
-        m = a.shape[0]
-        cycles = self._cycles_by_m.get(m)
-        if cycles is None:
-            cycles = fastpath_timing(self.config, self._costs, m, self.n,
-                                     self.k).cycles
-            self._cycles_by_m[m] = cycles
-        if self._single is not None:
-            _, b_blk, exact = self._single
-            if exact:
-                c = (a.astype(np.float64) @ b_blk).astype(np.int64)
-            else:
-                c = a @ b_blk
-            if self.accmem_bits < ACCMEM_CONTAINER_BITS:
-                c = wrap_signed_array(c, self.accmem_bits)
-            return c, cycles
-        c = np.zeros((m, self.n), dtype=np.int64)
-        for sl, b_blk, exact in self._blocks:
-            a_blk = a[:, sl]
-            if exact:
-                partial = (a_blk.astype(np.float64)
-                           @ b_blk).astype(np.int64)
-            else:
-                partial = a_blk @ b_blk
-            if self.accmem_bits < ACCMEM_CONTAINER_BITS:
-                partial = wrap_signed_array(partial, self.accmem_bits)
-            c += partial
-        return c, cycles
 
 
 # -- per-layer blocking resolution --------------------------------------------
@@ -257,10 +149,7 @@ class _BlockingResolver:
         blocking = self.overrides.get(label)
         if blocking is None and self.tune_cache is not None:
             # Imported lazily: repro.tuning imports this module.
-            from repro.tuning.cache import (
-                backend_capability,
-                shape_digest,
-            )
+            from repro.tuning.cache import shape_digest
             probe = MixGemmConfig(
                 bw_a=bw_a, bw_b=bw_b, signed_a=signed_a, signed_b=True,
                 blocking=SIM_BLOCKING, accmem_bits=accmem_bits)
@@ -516,8 +405,8 @@ class _ConvStep(_Step):
                     signed_a=attrs["act_signed"], signed_b=True,
                     blocking=blocking, accmem_bits=accmem_bits,
                 )
-                self.gemms = [_BoundGemm(p, config, gemm_backend,
-                                         pack_cache) for p in panels]
+                self.gemms = [PreparedGemm(p, config, gemm_backend,
+                                           pack_cache) for p in panels]
             else:
                 self.panels = panels
         else:
@@ -613,7 +502,8 @@ class _QuantLinearStep(_Step):
                 signed_a=attrs["act_signed"], signed_b=True,
                 blocking=blocking, accmem_bits=accmem_bits,
             )
-            self.gemm = _BoundGemm(w_q_t, config, gemm_backend, pack_cache)
+            self.gemm = PreparedGemm(w_q_t, config, gemm_backend,
+                                     pack_cache)
         else:
             self.panel = w_q_t
 
@@ -928,22 +818,16 @@ def _array_order(arr: np.ndarray) -> str:
     return "C"
 
 
-def _gemm_array_slots(prefix: str, gemm: _BoundGemm) -> Iterator[
+def _gemm_array_slots(prefix: str, gemm: PreparedGemm) -> Iterator[
         tuple[str, np.ndarray, Callable[[np.ndarray], None]]]:
-    """``(key, array, setter)`` for one bound GEMM's baked operands."""
-    if gemm.mode == "fast":
-        for i in range(len(gemm._blocks)):
-            def _set_block(arr: np.ndarray, g: _BoundGemm = gemm,
-                           idx: int = i) -> None:
-                sl, _, exact = g._blocks[idx]
-                g._blocks[idx] = (sl, arr, exact)
-                g._single = (g._blocks[0] if len(g._blocks) == 1
-                             else None)
-            yield f"{prefix}.block{i}", gemm._blocks[i][1], _set_block
-    else:
-        def _set_b(arr: np.ndarray, g: _BoundGemm = gemm) -> None:
-            g._b = arr
-        yield f"{prefix}.b", gemm._b, _set_b
+    """``(key, array, setter)`` for one prepared GEMM's stored weights."""
+    names = ([f"block{i}" for i in range(len(gemm.weights))]
+             if gemm.mode == "fast" else ["b"])
+    for i, name in enumerate(names):
+        def _set(arr: np.ndarray, g: PreparedGemm = gemm,
+                 idx: int = i) -> None:
+            g.weights[idx] = arr
+        yield f"{prefix}.{name}", gemm.weights[i], _set
 
 
 def _attr_slots(obj: object, attrs: tuple[str, ...], prefix: str

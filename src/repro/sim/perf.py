@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from repro.core.config import MixGemmConfig
 from repro.core.microengine import group_cycles
-from repro.core.packing import aligned_kc
+from repro.core.packing import kc_span
 
 from .memory import TrafficBreakdown, gemm_traffic
 from .params import (
@@ -146,9 +146,7 @@ class MixGemmPerfModel:
 
         ge = lay.group_elements
         full_groups, rem = divmod(k, ge)
-        # kc counts 64-bit u-vectors (Table I); the logical span scales
-        # with the compression factor.
-        kc_eff = aligned_kc(blk.kc * lay.elems_a, ge)
+        kc_eff = kc_span(blk, lay)
         k_blocks = math.ceil(k / kc_eff)
 
         # Engine occupancy: each output element's inner product drains

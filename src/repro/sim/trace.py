@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from repro.core.config import MixGemmConfig
-from repro.core.packing import aligned_kc
+from repro.core.packing import kc_span
 
 from .cache import CacheHierarchy
 
@@ -113,7 +113,7 @@ def trace_gemm(
     groups_per_run = math.ceil(k / ge)
     a_words_per_run = groups_per_run * lay.kua
     b_words_per_run = groups_per_run * lay.kub
-    kc_elems = aligned_kc(blk.kc * lay.elems_a, ge)
+    kc_elems = kc_span(blk, lay)
     groups_per_block = kc_elems // ge
 
     loads = 0

@@ -8,15 +8,12 @@ plan baked in at compile time.  This module extracts both without
 re-deriving any lowering logic -- it runs the plan once with the
 :mod:`~repro.runtime.observe` range hook armed (the same tap the range
 sanitizer uses) and captures the ``"act"`` array each quantized GEMM
-step reports immediately before calling its bound executor, then pairs
-it with that executor's baked weight operand.
-
-Fast-mode executors store their weights as pre-cast kc-blocks (the
-float64 blocks are exact by the ``2**53`` rule, so casting back to
-int64 is lossless); event-mode executors keep the int64 panel
-directly.  Grouped convolutions contribute their first group: every
-group shares the layer's shape, bitwidths and blocking, so one group
-is the representative tuning unit.
+step reports immediately before calling its prepared GEMM, then pairs
+it with that GEMM's weight operand
+(:meth:`~repro.core.prepared.PreparedGemm.weight_operand`).  Grouped
+convolutions contribute their first group: every group shares the
+layer's shape, bitwidths and blocking, so one group is the
+representative tuning unit.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.cost.graph import iter_plan_gemms
 from repro.core.config import MixGemmConfig
 from repro.core.errors import ReproError
 from repro.runtime.observe import set_range_hook
@@ -74,21 +72,6 @@ class LayerCutout:
                 + (f" (x{self.groups} groups)" if self.groups > 1 else ""))
 
 
-def bound_weight_operand(gemm) -> np.ndarray:
-    """Reassemble a bound executor's int64 K x N weight operand.
-
-    Event mode keeps the panel directly.  Fast mode stores kc-blocks,
-    some pre-cast to float64 -- only when every product in the block is
-    exactly representable (``kc_blk * max|A| * max|B| < 2**53``), so
-    the round-trip back to int64 is the identity on the stored values.
-    """
-    if gemm.mode == "event":
-        return np.asarray(gemm._b, dtype=np.int64)
-    blocks = [np.asarray(blk, dtype=np.int64)
-              for _, blk, _ in gemm._blocks]
-    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
 def extract_cutouts(plan: GraphPlan, x: np.ndarray) -> list[LayerCutout]:
     """Run ``plan`` once on ``x`` and cut out every quantized GEMM layer.
 
@@ -116,21 +99,14 @@ def extract_cutouts(plan: GraphPlan, x: np.ndarray) -> list[LayerCutout]:
         set_range_hook(previous)
 
     cutouts: list[LayerCutout] = []
-    for step in plan.steps:
-        gemms = list(getattr(step, "gemms", []))
-        single = getattr(step, "gemm", None)
-        if single is not None:
-            gemms.append(single)
-        if not gemms:
-            continue
-        label = step.stats_label
+    for label, op, gemms in iter_plan_gemms(plan):
         a = captured.get(label)
-        if a is None:  # pragma: no cover - every bound gemm observes
+        if a is None:  # pragma: no cover - every prepared gemm observes
             continue
         gemm = gemms[0]
         cutouts.append(LayerCutout(
-            label=label, op=step.op, config=gemm.config, a=a,
-            b=bound_weight_operand(gemm), groups=len(gemms)))
+            label=label, op=op, config=gemm.config, a=a,
+            b=gemm.weight_operand(), groups=len(gemms)))
     if not cutouts:
         raise TuningError(
             "plan has no quantized GEMM layers to tune")
@@ -140,6 +116,5 @@ def extract_cutouts(plan: GraphPlan, x: np.ndarray) -> list[LayerCutout]:
 __all__ = [
     "LayerCutout",
     "TuningError",
-    "bound_weight_operand",
     "extract_cutouts",
 ]

@@ -40,10 +40,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.config import MixGemmConfig
-from repro.core.fastpath import FastPathFallback, run_fastpath
-from repro.core.gemm import KernelCosts, MixGemm
+from repro.core.fastpath import FastPathFallback
 from repro.core.packcache import PackingCache
 from repro.core.parallel import ParallelMixGemm
+from repro.core.prepared import PreparedGemm
 from repro.robustness.errors import ReliabilityWarning
 
 from .space import Candidate
@@ -77,13 +77,8 @@ def reference_digest(config: MixGemmConfig, a: np.ndarray,
     (fast when applicable, event otherwise); every candidate's output
     is compared against it.
     """
-    costs = KernelCosts()
-    try:
-        result = run_fastpath(config, costs, a, b)
-    except FastPathFallback:
-        result = MixGemm(config, emulate_datapath=False, costs=costs,
-                         backend="event").gemm(a, b)
-    return PackingCache.fingerprint(result.c)
+    c, _ = PreparedGemm(b, config, "fast")(a)
+    return PackingCache.fingerprint(c)
 
 
 def _run_candidate(config: MixGemmConfig, candidate: Candidate,
@@ -95,10 +90,11 @@ def _run_candidate(config: MixGemmConfig, candidate: Candidate,
     warmup/repeat runs so construction cost (engine setup, executor
     banks, weight-panel casting) stays out of the timed region after
     warmup.  Single-core candidates run the *deployed* executor -- the
-    plan's bound GEMM with the weight blocks pre-cast at bind time --
-    not a per-call ``run_fastpath``: the per-call path re-splits and
-    re-casts the B panel every execution, a cost the compiled plan
-    never pays, and timing it skews the objective toward small ``kc``.
+    :class:`~repro.core.prepared.PreparedGemm` a compiled plan binds,
+    weight blocks pre-cast once -- not a per-call ``run_fastpath``: the
+    per-call path re-splits and re-casts the B panel every execution, a
+    cost the compiled plan never pays, and timing it skews the
+    objective toward small ``kc``.
     """
     cfg = replace(config, blocking=candidate.blocking,
                   backend=candidate.backend)
@@ -110,19 +106,15 @@ def _run_candidate(config: MixGemmConfig, candidate: Candidate,
                                    backend=candidate.backend)
             state["bank"] = bank
         return bank.gemm(a, b, cores=candidate.cores).c
-    bound = state.get("bound")
-    if bound is None:
-        # Imported lazily: repro.runtime.plan lazily imports this
-        # package for its tuned-cache consultation.
-        from repro.runtime.plan import _BoundGemm
-
-        bound = _BoundGemm(b, cfg, candidate.backend, PackingCache())
-        if bound.mode != candidate.backend:
+    prepared = state.get("prepared")
+    if prepared is None:
+        prepared = PreparedGemm(b, cfg, candidate.backend, PackingCache())
+        if prepared.mode != candidate.backend:
             raise FastPathFallback(
                 f"candidate requests the {candidate.backend} backend "
-                f"but the bound executor resolved {bound.mode}")
-        state["bound"] = bound
-    return bound(a)[0]
+                f"but the prepared GEMM resolved {prepared.mode}")
+        state["prepared"] = prepared
+    return prepared(a)[0]
 
 
 def measure_candidate(config: MixGemmConfig, candidate: Candidate,

@@ -31,9 +31,8 @@ from repro.core.config import (
     blocking_candidates,
 )
 from repro.core.fastpath import fastpath_applicable
-from repro.core.packing import aligned_kc
-
-from .cache import backend_capability
+from repro.core.packing import aligned_kc, kc_span
+from repro.core.prepared import backend_capability
 
 #: Worker counts searched by default: single-core only.  Pass
 #: ``cores_values=(1, 2, ...)`` to also measure
@@ -77,7 +76,7 @@ def effective_kc_split(config: MixGemmConfig, blocking: BlockingParams,
     identically on the fast path (same matmuls, same wrap points).
     """
     lay = config.layout
-    kc_eff = aligned_kc(blocking.kc * lay.elems_a, lay.group_elements)
+    kc_eff = kc_span(blocking, lay)
     k_aligned = aligned_kc(max(k, 1), lay.group_elements)
     return min(kc_eff, k_aligned)
 

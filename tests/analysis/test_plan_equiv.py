@@ -105,17 +105,14 @@ class TestSeededBugs:
 
     def test_tampered_panel_caught(self, resnet_graph,
                                    resnet_analysis):
-        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True)
-        for step in plan.steps:
-            gemms = getattr(step, "gemms", None)
-            if gemms and gemms[0].mode == "fast":
-                sl, blk, exact = gemms[0]._blocks[0]
-                blk = blk.copy()
-                blk.flat[0] += 1  # one integer off
-                gemms[0]._blocks[0] = (sl, blk, exact)
-                break
-        else:
-            pytest.skip("no fast-mode conv step")
+        plan = compile_graph(resnet_graph, backend="mixgemm", fuse=True,
+                             gemm_backend="fast")
+        gemm = next(step.gemms[0] for step in plan.steps
+                    if getattr(step, "gemms", None))
+        assert gemm.mode == "fast"
+        tampered = gemm.weights[0].copy()
+        tampered.flat[0] += 1  # one integer off
+        gemm.weights[0] = tampered
         diags = verify_plan(plan, analysis=resnet_analysis)
         assert any("panel" in d.message for d in diags)
 

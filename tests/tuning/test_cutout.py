@@ -8,7 +8,6 @@ from repro.robustness.faults import demo_graph, demo_input
 from repro.runtime.graph import GraphModel, NodeSpec
 from repro.runtime.plan import compile_graph
 from repro.tuning import TuningError, extract_cutouts
-from repro.tuning.cutout import bound_weight_operand
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +75,8 @@ class TestExtraction:
                              gemm_backend="fast")
         event = compile_graph(graph, backend="mixgemm",
                               gemm_backend="event")
-        b_fast = bound_weight_operand(fast.steps[0].gemm)
-        b_event = bound_weight_operand(event.steps[0].gemm)
+        b_fast = fast.steps[0].gemm.weight_operand()
+        b_event = event.steps[0].gemm.weight_operand()
         assert b_fast.shape == b_event.shape
         assert np.array_equal(b_fast, b_event)
         (c_fast,) = extract_cutouts(fast, x)
