@@ -21,7 +21,6 @@ from .cache import (
     TuneCache,
     TuneEntry,
     TuneKey,
-    backend_capability,
     default_cache_dir,
     shape_digest,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "TuneKey",
     "TuneReport",
     "TuningError",
-    "backend_capability",
     "candidate_space",
     "default_cache_dir",
     "default_candidate",
