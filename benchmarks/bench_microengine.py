@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import BlockingParams, MixGemmConfig
-from repro.core.gemm import KernelCosts, MixGemm
+from repro.core.gemm import MixGemm
 from repro.core.microengine import effective_macs_per_cycle
 from repro.sim.perf import MixGemmPerfModel
 
@@ -73,8 +73,7 @@ def test_functional_simulator_throughput(benchmark):
     b = rng.integers(-128, 128, size=(64, 8))
 
     def run():
-        return MixGemm(cfg, emulate_datapath=False,
-                       costs=KernelCosts()).gemm(a, b)
+        return MixGemm(cfg, emulate_datapath=False).gemm(a, b)
 
     result = benchmark(run)
     assert np.array_equal(result.c, a.astype(np.int64) @ b)

@@ -52,16 +52,19 @@ hoisted out of the per-call hot path):
   memory outlives the process -- a leaked segment stays in
   ``/dev/shm`` until reboot, which is exactly the failure mode the
   zero-copy plan distribution (``runtime/plan.py``) must never have.
-* **REP012** -- on-disk cache/state writers (the autotuner result cache,
-  ``tuning/cache.py``) must publish atomically: any function that
+* **REP012** -- on-disk cache/state writers (the one writer,
+  ``store.py``, and the two caches on it, ``tuning/cache.py`` and
+  ``analysis/cost/calibrate.py``, so neither grows a private writer
+  again) must publish atomically: any function that
   ``open()``\\ s a file for writing (or calls ``Path.write_text``/
   ``write_bytes``) must also call ``os.replace`` -- serialize to a
   temporary file in the same directory, then rename.  A concurrent
   reader (or a crash mid-write) must see the old entry or the new one,
-  never a torn file; ``compile_graph(..., tuned=True)`` reads this
-  cache from live serving processes.
+  never a torn file; ``compile_graph(..., tuned=True)`` reads the
+  tune cache from live serving processes.
 * **REP013** -- no hard-coded cycle/latency cost constants outside the
-  ISA cost table homes (``core/isa.py``, ``core/config.py``) and the
+  ISA cost table homes (``core/isa.py``'s ``ISA_COST_TABLE`` constants,
+  ``core/config.py``) and the
   cost model that consumes them (``analysis/cost/``): a nonzero
   integer literal assigned to (or passed as, or defaulted into) a
   name ending in ``cost``/``cycle(s)``/``latency``/``overhead``
@@ -123,8 +126,10 @@ LOCK_FACTORY_SUFFIXES = (
 
 #: Module path suffixes (POSIX form) whose on-disk writes must publish
 #: atomically (REP012): persistent caches read concurrently by live
-#: serving processes.
+#: serving processes.  The store is their one writer; the two cache
+#: modules stay listed so neither grows a private writer again.
 ATOMIC_STATE_SUFFIXES = (
+    "repro/store.py",
     "tuning/cache.py",
     "analysis/cost/calibrate.py",
 )
@@ -588,7 +593,7 @@ class RepoInvariantVisitor(ast.NodeVisitor):
         self._emit(
             "REP013", node, message,
             hint="cycle/latency constants live in the ISA cost table "
-                 "(core/isa.py KernelCosts / BS_*_COST) or "
+                 "(core/isa.py ISA_COST_TABLE constants) or "
                  "core/config.py: the calibrated cost model is keyed "
                  "by their content digest, so a constant forked "
                  "elsewhere silently invalidates every prediction",

@@ -17,8 +17,8 @@ Three cooperating modules:
 * :mod:`.calibrate` -- the small set of calibrated overhead
   coefficients (pipeline fill/drain intercept, stall-counter split)
   fitted once per cost-table content digest against instrumented
-  event-engine probes, persisted in an atomic content-keyed cache with
-  the same discipline as :mod:`repro.tuning.cache`.
+  event-engine probes, persisted in a content-keyed cache on the same
+  :mod:`repro.store` as :mod:`repro.tuning.cache`.
 * :mod:`.checker` -- ``repro check --cost``: COST-MODEL-DRIFT,
   COST-BLOCKING-INEFFICIENT and COST-IMBALANCE diagnostics over a
   deployment graph, rendered through the shared text/JSON/SARIF

@@ -21,31 +21,29 @@ calibration whose holdouts reproduce the engine bit for bit is marked
 ``exact`` -- the flag that gates substituting the model for the engine
 in the fast path's timing oracle.
 
-Fitted calibrations persist in an atomic content-keyed cache
-(:class:`CostCache`) with the same discipline as
+Fitted calibrations persist in a content-keyed cache
+(:class:`CostCache`) on the same :class:`repro.store.JsonStore` as
 :mod:`repro.tuning.cache`: entries are keyed by the digest of the ISA
-cost table plus the tile signature, writes publish via ``os.replace``
-(REP012), and corrupt / version-skewed / digest-mismatched entries are
-reported once as a structured
-:class:`~repro.robustness.errors.ReliabilityWarning` and ignored --
-cache damage degrades to recalibration, never to a crash.
+cost table plus the tile signature, writes publish atomically, and
+corrupt / version-skewed / digest-mismatched entries are reported as a
+structured :class:`~repro.robustness.errors.ReliabilityWarning` and
+ignored -- cache damage degrades to recalibration, never to a crash.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 import pathlib
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.core.config import MixGemmConfig
 from repro.core.fastpath import MicroKernelTiming, _tile_timing_engine
-from repro.core.isa import BS_GET_COST, ISA_COST_TABLE, KernelCosts
+from repro.core.isa import BS_GET_COST, ISA_COST_TABLE
 from repro.robustness.errors import ReliabilityWarning
+from repro.store import JsonStore, digest
 
 from .model import (
     tile_engine_cycles,
@@ -72,34 +70,14 @@ PROBE_GROUPS = (1, 2, 3, 4, 5, 6)
 HOLDOUT_GROUPS = (8, 12, 33)
 
 
-def default_cache_dir() -> pathlib.Path:
-    """``$REPRO_COST_CACHE`` or ``~/.cache/repro/cost``."""
-    env = os.environ.get(COST_CACHE_ENV, "").strip()
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "repro" / "cost"
+def cost_table_digest() -> str:
+    """Content hash of :data:`~repro.core.isa.ISA_COST_TABLE`.
 
-
-def _digest(fields: dict) -> str:
-    payload = json.dumps(fields, sort_keys=True,
-                         separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()[:20]
-
-
-def cost_table_digest(costs: Optional[KernelCosts] = None) -> str:
-    """Content hash of everything the model's constants derive from.
-
-    Covers the :class:`~repro.core.isa.KernelCosts` fields and the
-    bs.* issue-cost table; any edit to either changes the digest, so a
-    persisted calibration silently stops matching and recalibration
-    happens on the next lookup.
+    Every constant of the model derives from that table; any edit to it
+    changes the digest, so a persisted calibration silently stops
+    matching and recalibration happens on the next lookup.
     """
-    if costs is None:
-        costs = KernelCosts()
-    return _digest({
-        "kernel_costs": dataclasses.asdict(costs),
-        "isa_cost_table": dict(ISA_COST_TABLE),
-    })
+    return digest(ISA_COST_TABLE)
 
 
 def tile_signature(config: MixGemmConfig) -> dict:
@@ -225,9 +203,7 @@ class TileCalibration:
         )
 
 
-def calibrate_tile(config: MixGemmConfig,
-                   costs: Optional[KernelCosts] = None,
-                   ) -> TileCalibration:
+def calibrate_tile(config: MixGemmConfig) -> TileCalibration:
     """Probe the engine, fit the affine law, verify on holdouts.
 
     The slope is taken from the analytic model first; if the probes
@@ -236,15 +212,13 @@ def calibrate_tile(config: MixGemmConfig,
     last two probes and the calibration cannot be ``exact`` -- that is
     precisely the situation COST-MODEL-DRIFT reports.
     """
-    if costs is None:
-        costs = KernelCosts()
     lay = config.layout
     blk = config.blocking
     probe_config = dataclasses.replace(config, backend="event")
 
-    observed = {g: _tile_timing_engine(probe_config, costs, g)
+    observed = {g: _tile_timing_engine(probe_config, g)
                 for g in PROBE_GROUPS}
-    slope = tile_slope(config, costs)
+    slope = tile_slope(config)
     intercept = observed[PROBE_GROUPS[0]].cpu_cycles - slope
     affine = all(t.cpu_cycles == slope * g + intercept
                  for g, t in observed.items())
@@ -262,10 +236,10 @@ def calibrate_tile(config: MixGemmConfig,
 
     calibration = TileCalibration(
         signature=tuple(sorted(tile_signature(config).items())),
-        cost_digest=cost_table_digest(costs),
+        cost_digest=cost_table_digest(),
         slope=slope,
         intercept=intercept,
-        issue_cycles=tile_issue_cycles(config, costs),
+        issue_cycles=tile_issue_cycles(config),
         engine_cycles=tile_engine_cycles(config),
         tile_cells=blk.mr * blk.nr,
         ku_iters=max(lay.kua, lay.kub),
@@ -278,13 +252,13 @@ def calibrate_tile(config: MixGemmConfig,
         exact=False,
     )
     exact = affine and all(
-        calibration.timing(g) == _tile_timing_engine(probe_config, costs, g)
+        calibration.timing(g) == _tile_timing_engine(probe_config, g)
         for g in HOLDOUT_GROUPS)
     return dataclasses.replace(calibration, exact=exact)
 
 
 class CostCache:
-    """Directory of :class:`TileCalibration` files, atomically published.
+    """Directory of :class:`TileCalibration` files.
 
     One JSON file per (cost-table digest, tile signature); the file
     name embeds both so a cost-table edit strands the old entries (a
@@ -292,43 +266,31 @@ class CostCache:
     """
 
     def __init__(self, path: Optional[os.PathLike] = None) -> None:
-        self.path = pathlib.Path(path) if path is not None \
-            else default_cache_dir()
+        self._store = JsonStore(path, env=COST_CACHE_ENV, subdir="cost",
+                                label="cost-cache")
         self.hits = 0
         self.misses = 0
 
+    @property
+    def path(self) -> pathlib.Path:
+        """The cache directory."""
+        return self._store.path
+
     @staticmethod
     def _file_name(cost_digest: str, signature: dict) -> str:
-        return f"{cost_digest}-{_digest(signature)}.json"
+        return f"{cost_digest}-{digest(signature)}.json"
 
-    def _load_file(self, path: pathlib.Path) -> Optional[TileCalibration]:
-        """Parse one entry; damaged/skewed files warn and read as
-        absent (recalibration), never raise into the caller."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return TileCalibration.from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            warnings.warn(ReliabilityWarning(
-                f"ignoring cost-cache entry {path.name}: "
-                f"{type(exc).__name__}: {exc}"), stacklevel=3)
-            return None
-
-    def get(self, config: MixGemmConfig,
-            costs: Optional[KernelCosts] = None,
-            ) -> Optional[TileCalibration]:
-        """Look up the calibration for ``(config, costs)``, or ``None``."""
-        if costs is None:
-            costs = KernelCosts()
+    def get(self, config: MixGemmConfig) -> Optional[TileCalibration]:
+        """Look up the calibration for ``config``, or ``None``."""
         signature = tile_signature(config)
-        cost_digest = cost_table_digest(costs)
-        path = self.path / self._file_name(cost_digest, signature)
-        entry = self._load_file(path) if path.is_file() else None
+        cost_digest = cost_table_digest()
+        name = self._file_name(cost_digest, signature)
+        entry = self._store.load(name, TileCalibration.from_dict)
         if entry is not None and (
                 entry.cost_digest != cost_digest
                 or entry.signature_dict() != signature):
             warnings.warn(ReliabilityWarning(
-                f"cost-cache entry {path.name} does not match its own "
+                f"cost-cache entry {name} does not match its own "
                 f"digest (cost-table drift, hash collision or "
                 f"tampering); ignoring it and recalibrating"),
                 stacklevel=2)
@@ -341,35 +303,14 @@ class CostCache:
 
     def put(self, calibration: TileCalibration) -> pathlib.Path:
         """Persist ``calibration`` atomically; returns the final path."""
-        self.path.mkdir(parents=True, exist_ok=True)
-        final = self.path / self._file_name(
-            calibration.cost_digest, calibration.signature_dict())
-        tmp = self.path / f"{final.name}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(calibration.as_dict(), fh, indent=2,
-                          sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, final)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-        return final
+        return self._store.write(
+            self._file_name(calibration.cost_digest,
+                            calibration.signature_dict()),
+            calibration.as_dict())
 
     def clear(self) -> int:
         """Delete every entry file; returns how many were removed."""
-        removed = 0
-        if self.path.is_dir():
-            for path in sorted(self.path.glob("*.json")):
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    continue
-        return removed
+        return self._store.clear()
 
 
 #: In-process memo over (cost digest, signature digest): one disk read
@@ -383,7 +324,6 @@ def clear_calibration_memo() -> None:
 
 
 def get_tile_calibration(config: MixGemmConfig,
-                         costs: Optional[KernelCosts] = None,
                          cache: Optional[CostCache] = None,
                          ) -> TileCalibration:
     """Memoized calibration lookup: memo, then disk, then calibrate.
@@ -393,35 +333,21 @@ def get_tile_calibration(config: MixGemmConfig,
     any later process with the same cost table predicts without ever
     touching the engine.
     """
-    if costs is None:
-        costs = KernelCosts()
-    signature = tile_signature(config)
-    memo_key = (cost_table_digest(costs), _digest(signature))
+    memo_key = (cost_table_digest(), digest(tile_signature(config)))
     calibration = _MEMO.get(memo_key)
     if calibration is not None:
         return calibration
     if cache is None:
         cache = CostCache()
-    calibration = cache.get(config, costs)
+    calibration = cache.get(config)
     if calibration is None:
-        calibration = calibrate_tile(config, costs)
+        calibration = calibrate_tile(config)
         cache.put(calibration)
     _MEMO[memo_key] = calibration
     return calibration
 
 
-def calibrated_tile_fn(config: MixGemmConfig,
-                       costs: Optional[KernelCosts] = None,
-                       cache: Optional[CostCache] = None,
-                       ) -> Callable[[int], MicroKernelTiming]:
-    """Bind ``(config, costs)`` into a per-tile timing oracle."""
-    calibration = get_tile_calibration(config, costs, cache)
-    return calibration.timing
-
-
-def exact_tile_timing(config: MixGemmConfig,
-                      costs: Optional[KernelCosts] = None,
-                      n_groups: int = 1,
+def exact_tile_timing(config: MixGemmConfig, n_groups: int,
                       ) -> Optional[MicroKernelTiming]:
     """Predicted tile timing iff the calibration is *exact*, else None.
 
@@ -429,7 +355,7 @@ def exact_tile_timing(config: MixGemmConfig,
     drift, exotic buffer depth) returns ``None`` so the caller falls
     back to the engine reference and cycle counts never change.
     """
-    calibration = get_tile_calibration(config, costs)
+    calibration = get_tile_calibration(config)
     if not calibration.exact:
         return None
     return calibration.timing(n_groups)
@@ -443,10 +369,8 @@ __all__ = [
     "CostCache",
     "TileCalibration",
     "calibrate_tile",
-    "calibrated_tile_fn",
     "clear_calibration_memo",
     "cost_table_digest",
-    "default_cache_dir",
     "exact_tile_timing",
     "get_tile_calibration",
     "tile_signature",

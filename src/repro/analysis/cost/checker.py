@@ -43,7 +43,6 @@ from repro.core.config import (
     DEFAULT_ACCMEM_BITS,
     blocking_candidates,
 )
-from repro.core.isa import KernelCosts
 
 from .calibrate import get_tile_calibration
 from .graph import DEFAULT_ASSUMED_M
@@ -96,13 +95,10 @@ def check_cost(graph, *,
                mul_width: int = DEFAULT_MUL_WIDTH,
                workers: int = 1,
                assumed_m: int = DEFAULT_ASSUMED_M,
-               costs: Optional[KernelCosts] = None,
                path: str = "") -> DiagnosticReport:
     """Run the three COST-* checks over every quantized node."""
     if blocking is None:
         blocking = _runtime_blocking()
-    if costs is None:
-        costs = KernelCosts()
     report = DiagnosticReport()
     drift_seen: set[str] = set()
     candidates = blocking_candidates()
@@ -118,7 +114,7 @@ def check_cost(graph, *,
         groups = int(node.attrs.get("groups", 1)) or 1
         n = max(1, n_out // groups)
 
-        calibration = get_tile_calibration(config, costs)
+        calibration = get_tile_calibration(config)
         if not calibration.exact and config.name not in drift_seen:
             drift_seen.add(config.name)
             report.add(Diagnostic(
@@ -135,12 +131,12 @@ def check_cost(graph, *,
                 node=label, path=path,
             ))
 
-        deployed = predict_gemm(config, costs, assumed_m, n, k).cycles
+        deployed = predict_gemm(config, None, assumed_m, n, k).cycles
         best_cycles = deployed
         best_blocking = blocking
         for cand in candidates:
             cand_cfg = dataclasses.replace(config, blocking=cand)
-            cycles = predict_gemm(cand_cfg, costs, assumed_m, n, k).cycles
+            cycles = predict_gemm(cand_cfg, None, assumed_m, n, k).cycles
             if cycles < best_cycles:
                 best_cycles = cycles
                 best_blocking = cand
@@ -166,7 +162,7 @@ def check_cost(graph, *,
         if workers > 1:
             slices = _partition(n, workers, blocking.nr)
             slice_cycles = [
-                predict_gemm(config, costs, assumed_m, end - start,
+                predict_gemm(config, None, assumed_m, end - start,
                              k).cycles
                 for start, end in slices]
             idle = workers - len(slices)

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from repro.core.isa import KernelCosts
-
 from .model import CostBreakdown, predict_gemm
 
 #: Row count assumed when the caller cannot know M statically.  The
@@ -108,7 +106,6 @@ def iter_plan_gemms(plan) -> Iterator[tuple[str, str, list]]:
 def predict_graph_cycles(plan, *,
                          assumed_m: int = DEFAULT_ASSUMED_M,
                          layer_rows: Optional[dict[str, int]] = None,
-                         costs: Optional[KernelCosts] = None,
                          ) -> PlanCost:
     """Predict every quantized layer's cycles for a compiled plan.
 
@@ -117,14 +114,12 @@ def predict_graph_cycles(plan, *,
     GEMMs of one layer share (config, N, K), so each layer costs one
     O(1) closed-form evaluation regardless of its group count.
     """
-    if costs is None:
-        costs = KernelCosts()
     rows = layer_rows or {}
     layers = []
     for label, op, gemms in iter_plan_gemms(plan):
         gemm = gemms[0]
         m = int(rows.get(label, assumed_m))
-        breakdown = predict_gemm(gemm.config, costs, m, gemm.n, gemm.k)
+        breakdown = predict_gemm(gemm.config, None, m, gemm.n, gemm.k)
         layers.append(LayerCost(
             label=label, op=op, config=gemm.config.name,
             mode=gemm.mode, gemms=len(gemms),

@@ -1,7 +1,7 @@
 """Closed-form per-phase cycle model of the Mix-GEMM micro-kernel.
 
 The event engine's micro-kernel timing is a pure function of
-``(config, costs, n_groups)`` (data independence + translation
+``(config, n_groups)`` (data independence + translation
 invariance, see :mod:`repro.core.fastpath`), and its structure makes the
 per-tile CPU cycles **exactly affine** in the group count ``g``::
 
@@ -10,7 +10,7 @@ per-tile CPU cycles **exactly affine** in the group count ``g``::
 with the steady-state slope ``S = max(C, E)`` fully analytic:
 
 * ``C`` -- CPU issue cycles per k-group: the per-group operand staging
-  (``kgroup_overhead`` + one ``load_cost`` per u-vector load into the
+  (``KGROUP_OVERHEAD`` + one ``LOAD_COST`` per u-vector load into the
   RF) plus, for each of the ``T = mr * nr`` register-tile cells, the
   inner-loop overhead and ``max(kua, kub)`` single-issue ``bs.ip``
   instructions (Algorithm 1 lines 5-9);
@@ -40,33 +40,40 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from repro.core.binseg import ceil_div
 from repro.core.config import MixGemmConfig
-from repro.core.isa import BS_GET_COST, BS_IP_COST, BS_SET_COST, KernelCosts
+from repro.core.isa import (
+    BS_GET_COST,
+    BS_IP_COST,
+    BS_SET_COST,
+    C_UPDATE_COST,
+    INNER_LOOP_OVERHEAD,
+    KGROUP_OVERHEAD,
+    LOAD_COST,
+)
 from repro.core.microengine import group_cycles
-from repro.core.packing import kc_span
+from repro.core.packing import gemm_tile_counts, kblock_group_counts
 
 
-def tile_stage_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
+def tile_stage_cycles(config: MixGemmConfig) -> int:
     """Operand-staging cycles per k-group: pointer bumps + RF loads."""
     lay = config.layout
     blk = config.blocking
-    return (costs.kgroup_overhead
-            + costs.load_cost * (lay.kua * blk.mr + lay.kub * blk.nr))
+    return (KGROUP_OVERHEAD
+            + LOAD_COST * (lay.kua * blk.mr + lay.kub * blk.nr))
 
 
-def tile_ip_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
+def tile_ip_cycles(config: MixGemmConfig) -> int:
     """bs.ip issue-loop cycles per k-group (stall-free)."""
     lay = config.layout
     blk = config.blocking
     tile = blk.mr * blk.nr
     ku_iters = max(lay.kua, lay.kub)
-    return tile * (costs.inner_loop_overhead + ku_iters * BS_IP_COST)
+    return tile * (INNER_LOOP_OVERHEAD + ku_iters * BS_IP_COST)
 
 
-def tile_issue_cycles(config: MixGemmConfig, costs: KernelCosts) -> int:
+def tile_issue_cycles(config: MixGemmConfig) -> int:
     """``C``: total stall-free CPU issue cycles per k-group."""
-    return tile_stage_cycles(config, costs) + tile_ip_cycles(config, costs)
+    return tile_stage_cycles(config) + tile_ip_cycles(config)
 
 
 def tile_engine_cycles(config: MixGemmConfig) -> int:
@@ -75,9 +82,9 @@ def tile_engine_cycles(config: MixGemmConfig) -> int:
     return blk.mr * blk.nr * group_cycles(config)
 
 
-def tile_slope(config: MixGemmConfig, costs: KernelCosts) -> int:
+def tile_slope(config: MixGemmConfig) -> int:
     """``S = max(C, E)``: steady-state CPU cycles per k-group."""
-    return max(tile_issue_cycles(config, costs),
+    return max(tile_issue_cycles(config),
                tile_engine_cycles(config))
 
 
@@ -169,34 +176,15 @@ class CostBreakdown:
         }
 
 
-def gemm_tile_counts(config: MixGemmConfig, m: int,
-                     n: int) -> tuple[int, int]:
-    """(row_tiles, col_tiles) of the blocked loop nest for one GEMM."""
-    blk = config.blocking
-    row_tiles = sum(ceil_div(min(blk.mc, m - ic), blk.mr)
-                    for ic in range(0, m, blk.mc))
-    col_tiles = sum(ceil_div(min(blk.nc, n - jc), blk.nr)
-                    for jc in range(0, n, blk.nc))
-    return row_tiles, col_tiles
-
-
-def kblock_group_counts(config: MixGemmConfig, k: int) -> list[int]:
-    """Per-kc-block tile group counts, in execution order.
-
-    At most two distinct values appear (full blocks plus one tail), so
-    downstream assembly is O(1) in K after this split.
-    """
-    lay = config.layout
-    blk = config.blocking
-    kc_eff = kc_span(blk, lay)
-    return [ceil_div(min(kc_eff, k - pc), lay.group_elements)
-            for pc in range(0, k, kc_eff)]
-
-
-def predict_gemm(config: MixGemmConfig, costs: Optional[KernelCosts],
+def predict_gemm(config: MixGemmConfig, costs: None,
                  m: int, n: int, k: int, *,
                  tile_fn: Optional[TileFn] = None) -> CostBreakdown:
     """Predict one GEMM's cycles/counters without touching the engine.
+
+    ``costs`` must be ``None``: the cost table is the constant one in
+    :mod:`repro.core.isa`.  The slot stays positional because callers
+    outside this package (the benchmark's simulate workload among them)
+    pass ``predict_gemm(config, None, m, n, k)``.
 
     Mirrors the blocked assembly of
     :func:`~repro.core.fastpath.fastpath_timing` -- one ``bs.set``, then
@@ -208,16 +196,18 @@ def predict_gemm(config: MixGemmConfig, costs: Optional[KernelCosts],
     :mod:`.calibrate` is used, which probes the engine at most once per
     tile signature and cost-table digest, then never again.
     """
-    if costs is None:
-        costs = KernelCosts()
+    if costs is not None:
+        raise TypeError(
+            f"predict_gemm takes costs=None, not {type(costs).__name__}: "
+            f"the cost table is the constant one in repro.core.isa")
     if tile_fn is None:
-        from .calibrate import calibrated_tile_fn
+        from .calibrate import get_tile_calibration
 
-        tile_fn = calibrated_tile_fn(config, costs)
+        tile_fn = get_tile_calibration(config).timing
     row_tiles, col_tiles = gemm_tile_counts(config, m, n)
     tiles = row_tiles * col_tiles
-    stage = tile_stage_cycles(config, costs)
-    ip = tile_ip_cycles(config, costs)
+    stage = tile_stage_cycles(config)
+    ip = tile_ip_cycles(config)
     collect = tile_collect_cycles(config)
     kblocks = kblock_group_counts(config, k)
 
@@ -231,11 +221,11 @@ def predict_gemm(config: MixGemmConfig, costs: Optional[KernelCosts],
             tile = tile_fn(n_groups)
             timing_by_g[n_groups] = tile
         cycles += (tiles * tile.cpu_cycles
-                   + m * n * costs.c_update_cost)
+                   + m * n * C_UPDATE_COST)
         stage_total += tiles * n_groups * stage
         issue_total += tiles * n_groups * ip
         collect_total += tiles * collect
-        epilogue_total += m * n * costs.c_update_cost
+        epilogue_total += m * n * C_UPDATE_COST
         stalls_full += tiles * tile.buffer_full_stall_cycles
         stalls_get += tiles * tile.get_stall_cycles
         busy += tiles * tile.engine_busy_cycles

@@ -26,15 +26,15 @@ logic only looks at counts and arrival times, never word values) and
 translation invariant (each micro-kernel starts with the CPU at or past
 the engine, empty queues, and all buffer releases in the past, because
 the collection loop drains the engine).  One micro-kernel execution is
-therefore a pure function of ``(config, costs, n_groups)`` -- so the
+therefore a pure function of ``(config, n_groups)`` -- so the
 per-tile oracle can be seeded once per distinct signature and the
 whole-GEMM totals assembled arithmetically.  Two seeding strategies
 exist: the *reference* runs the real engine once on zero panels
 (:func:`_tile_timing_engine`); when the calibrated closed-form model
 (:mod:`repro.analysis.cost`) has verified itself exact for the
 signature, :func:`_tile_timing` substitutes its prediction and the
-engine never runs at all (set :data:`COST_ORACLE` to ``False`` to pin
-the reference).  The C-update cycles are added analytically: with
+engine never runs at all (a calibration that is not exact pins the
+reference).  The C-update cycles are added analytically: with
 ``mc % mr == 0`` and ``nc % nr == 0`` the in-range cells of each
 kc-block sum to exactly ``m * n``.
 
@@ -55,20 +55,22 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .binseg import BinSegError, ceil_div, value_range
+from .binseg import BinSegError, value_range
 from .config import ACCMEM_CONTAINER_BITS, MixGemmConfig
-from .isa import BS_SET_COST
+from .isa import BS_SET_COST, C_UPDATE_COST
 from .microengine import PmuCounters
 from .packing import (
     _check_matrix,
     create_micro_panel,
+    gemm_tile_counts,
+    kblock_group_counts,
     kc_span,
     pack_matrix_a,
     pack_matrix_b,
 )
 
 if TYPE_CHECKING:  # imported lazily at runtime to keep gemm -> fastpath
-    from .gemm import GemmResult, KernelCosts  # one-directional at load
+    from .gemm import GemmResult  # one-directional at load
 
 #: First magnitude an int64 accumulator cannot represent.
 _INT64_HALF = 1 << 63
@@ -145,40 +147,29 @@ class FastPathTiming:
         )
 
 
-#: Whether :func:`_tile_timing` may substitute the calibrated
-#: closed-form predictor for the engine run.  Only calibrations that
-#: verified themselves *exact* against holdout probes are substituted,
-#: so flipping this flag never changes a cycle count -- tests pin it to
-#: ``False`` (and clear the lru_caches) to force the reference.
-COST_ORACLE = True
-
-
 @functools.lru_cache(maxsize=None)
-def _tile_timing(config: MixGemmConfig, costs: "KernelCosts",
-                 n_groups: int) -> MicroKernelTiming:
+def _tile_timing(config: MixGemmConfig, n_groups: int) -> MicroKernelTiming:
     """Per-tile timing oracle: calibrated closed form, engine fallback.
 
     Consults :func:`repro.analysis.cost.calibrate.exact_tile_timing`,
     which returns a prediction only when the persisted calibration for
     this (signature, cost-table digest) proved exact on holdout group
-    counts; anything else -- model inexact, calibration layer broken --
-    falls back to :func:`_tile_timing_engine`, the instrumented engine
-    run that is also calibration's ground truth.
+    counts; otherwise falls back to :func:`_tile_timing_engine`, the
+    instrumented engine run that is also calibration's ground truth.
+    Only exact calibrations are substituted, so the choice never
+    changes a cycle count.
     """
-    if COST_ORACLE:
-        try:
-            from repro.analysis.cost.calibrate import exact_tile_timing
-        except ImportError:
-            timing = None
-        else:
-            timing = exact_tile_timing(config, costs, n_groups)
-        if timing is not None:
-            return timing
-    return _tile_timing_engine(config, costs, n_groups)
+    # Imported here: the cost model imports this module.
+    from repro.analysis.cost.calibrate import exact_tile_timing
+
+    timing = exact_tile_timing(config, n_groups)
+    if timing is not None:
+        return timing
+    return _tile_timing_engine(config, n_groups)
 
 
 @functools.lru_cache(maxsize=None)
-def _tile_timing_engine(config: MixGemmConfig, costs: "KernelCosts",
+def _tile_timing_engine(config: MixGemmConfig,
                         n_groups: int) -> MicroKernelTiming:
     """Run the real micro-kernel once on zero panels and record deltas.
 
@@ -195,8 +186,7 @@ def _tile_timing_engine(config: MixGemmConfig, costs: "KernelCosts",
     blk = config.blocking
     lay = config.layout
     k_len = n_groups * lay.group_elements
-    executor = MixGemm(config, emulate_datapath=False, costs=costs,
-                       backend="event")
+    executor = MixGemm(config, emulate_datapath=False, backend="event")
     a_up = create_micro_panel(
         pack_matrix_a(np.zeros((blk.mr, k_len), dtype=np.int64), config),
         0, blk.mr, 0, k_len,
@@ -259,34 +249,26 @@ def fastpath_applicable(config: MixGemmConfig, k: int) -> str | None:
 
 
 @functools.lru_cache(maxsize=None)
-def fastpath_timing(config: MixGemmConfig, costs: "KernelCosts", m: int,
-                    n: int, k: int) -> FastPathTiming:
+def fastpath_timing(config: MixGemmConfig, m: int, n: int,
+                    k: int) -> FastPathTiming:
     """Analytic timing of one fast-path GEMM, memoized by shape.
 
-    Cycles on the fast path are a pure function of ``(config, costs, m,
-    n, k)`` -- the per-tile oracle is data independent and the blocked
+    Cycles on the fast path are a pure function of ``(config, m, n,
+    k)`` -- the per-tile oracle is data independent and the blocked
     loop structure depends only on the shape -- so a compiled plan can
     look the whole-GEMM timing up once and reuse it on every call.
     Caller must have cleared :func:`fastpath_applicable` first.
     """
-    blk = config.blocking
-    lay = config.layout
-    kc_eff = kc_span(blk, lay)
     oracle_config = replace(config, backend="event")
-    row_tiles = sum(ceil_div(min(blk.mc, m - ic), blk.mr)
-                    for ic in range(0, m, blk.mc))
-    col_tiles = sum(ceil_div(min(blk.nc, n - jc), blk.nr)
-                    for jc in range(0, n, blk.nc))
+    row_tiles, col_tiles = gemm_tile_counts(config, m, n)
     tiles_per_kblock = row_tiles * col_tiles
 
     cycles = BS_SET_COST  # the single bs.set
     stalls_full = stalls_get = busy = groups = macs = ips = gets = 0
-    for pc in range(0, k, kc_eff):
-        kc_blk = min(kc_eff, k - pc)
-        n_groups = ceil_div(kc_blk, lay.group_elements)
-        tile = _tile_timing(oracle_config, costs, n_groups)
+    for n_groups in kblock_group_counts(config, k):
+        tile = _tile_timing(oracle_config, n_groups)
         cycles += (tiles_per_kblock * tile.cpu_cycles
-                   + m * n * costs.c_update_cost)
+                   + m * n * C_UPDATE_COST)
         stalls_full += tiles_per_kblock * tile.buffer_full_stall_cycles
         stalls_get += tiles_per_kblock * tile.get_stall_cycles
         busy += tiles_per_kblock * tile.engine_busy_cycles
@@ -306,8 +288,7 @@ def fastpath_timing(config: MixGemmConfig, costs: "KernelCosts", m: int,
     )
 
 
-def run_fastpath(config: MixGemmConfig, costs: "KernelCosts", a: np.ndarray,
-                 b: np.ndarray,
+def run_fastpath(config: MixGemmConfig, a: np.ndarray, b: np.ndarray,
                  c: np.ndarray | None = None) -> "GemmResult":
     """Compute one GEMM on the fast path; returns a ``GemmResult``.
 
@@ -349,7 +330,7 @@ def run_fastpath(config: MixGemmConfig, costs: "KernelCosts", a: np.ndarray,
     else:
         c += prepared_c
 
-    timing = fastpath_timing(config, costs, m, n, k)
+    timing = fastpath_timing(config, m, n, k)
     pmu = timing.to_pmu()
     return GemmResult(
         c=c,

@@ -15,7 +15,7 @@ The library drives a :class:`~repro.core.microengine.MicroEngine` instance,
 so every run is simultaneously a bit-exact computation *and* a timing
 measurement: the returned :class:`GemmResult` carries the output matrix, the
 engine PMU, and the modelled cycle count including the scalar core's load
-and loop-overhead instructions (see :class:`KernelCosts`).
+and loop-overhead instructions (the cost table of :mod:`repro.core.isa`).
 """
 
 from __future__ import annotations
@@ -27,7 +27,12 @@ import numpy as np
 from .backend import EVENT, FAST, BackendDecision, resolve_backend
 from .binseg import BinSegError, ceil_div
 from .config import MixGemmConfig
-from .isa import KernelCosts
+from .isa import (
+    C_UPDATE_COST,
+    INNER_LOOP_OVERHEAD,
+    KGROUP_OVERHEAD,
+    LOAD_COST,
+)
 from .microengine import MicroEngine, PmuCounters
 from .packcache import PackingCache
 from .packing import (
@@ -38,11 +43,6 @@ from .packing import (
     pack_matrix_a,
     pack_matrix_b,
 )
-
-# KernelCosts is re-exported here for the many call sites that import
-# it from this module; the definition moved next to the bs.* encodings
-# in core/isa.py so the ISA cost table has a single home (REP013).
-
 
 @dataclass
 class GemmResult:
@@ -84,15 +84,13 @@ class MixGemm:
         binary-segmentation pack/multiply/slice pipeline (slow, bit-exact
         by construction) or compute group products directly (identical
         values, faster).
-    costs:
-        Scalar-core cost model; see :class:`KernelCosts`.
     memory:
         Optional cache-backed memory system (duck-typed: ``load_a(run,
         word)``, ``load_b(run, word)`` and ``update_c(row, col)``, each
         returning a latency in cycles -- see
         :class:`repro.sim.trace.GemmMemorySystem`).  When given, u-vector
         loads and C updates are charged simulated cache latencies instead
-        of the constant :class:`KernelCosts` figures.
+        of the constant ``LOAD_COST``/``C_UPDATE_COST`` figures.
     fault_hook:
         Optional fault injector (duck-typed; see
         :class:`repro.robustness.faults.FaultInjector`).  Its
@@ -124,7 +122,6 @@ class MixGemm:
         config: MixGemmConfig,
         *,
         emulate_datapath: bool = True,
-        costs: KernelCosts | None = None,
         memory=None,
         fault_hook=None,
         pack_guard=None,
@@ -132,7 +129,6 @@ class MixGemm:
         pack_cache: PackingCache | None = None,
     ) -> None:
         self.config = config
-        self.costs = costs or KernelCosts()
         self.memory = memory
         self.fault_hook = fault_hook
         self.pack_guard = pack_guard
@@ -177,7 +173,7 @@ class MixGemm:
         if decision.backend == FAST:
             from .fastpath import FastPathFallback, run_fastpath
             try:
-                result = run_fastpath(self.config, self.costs, a, b, c)
+                result = run_fastpath(self.config, a, b, c)
             except FastPathFallback as fallback:
                 self.last_decision = BackendDecision(EVENT, str(fallback))
             else:
@@ -300,7 +296,6 @@ class MixGemm:
         """
         blk = self.config.blocking
         lay = self.config.layout
-        costs = self.costs
         engine = self.engine
         n_groups = a_up.runs[0].n_groups
         ku_iters = max(lay.kua, lay.kub)
@@ -312,12 +307,11 @@ class MixGemm:
             # (kua*mr + kub*nr loads) and reused across the i/j loops.
             if self.memory is None:
                 engine.advance(
-                    costs.load_cost
-                    * (lay.kua * blk.mr + lay.kub * blk.nr)
-                    + costs.kgroup_overhead
+                    LOAD_COST * (lay.kua * blk.mr + lay.kub * blk.nr)
+                    + KGROUP_OVERHEAD
                 )
             else:
-                cycles = costs.kgroup_overhead
+                cycles = KGROUP_OVERHEAD
                 for j in range(min(blk.mr, a_up.valid_runs)):
                     for w in range(lay.kua):
                         cycles += self.memory.load_a(
@@ -331,7 +325,7 @@ class MixGemm:
                 engine.advance(cycles)
             for i in range(blk.nr):
                 for j in range(blk.mr):
-                    engine.advance(costs.inner_loop_overhead)
+                    engine.advance(INNER_LOOP_OVERHEAD)
                     a_words = a_up.runs[j].group_words(g)
                     b_words = b_up.runs[i].group_words(g)
                     for ku in range(ku_iters):
@@ -351,7 +345,7 @@ class MixGemm:
                 row, col = ir + j, jr + i
                 if row < c.shape[0] and col < c.shape[1]:
                     if self.memory is None:
-                        engine.advance(costs.c_update_cost)
+                        engine.advance(C_UPDATE_COST)
                     else:
                         engine.advance(self.memory.update_c(row, col))
                     c[row, col] += value

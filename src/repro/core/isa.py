@@ -44,50 +44,43 @@ BS_IP_COST = 1
 #: engine to drain are modelled separately).
 BS_GET_COST = 1
 
-#: mnemonic -> issue cycles; the content the cost-model calibration
-#: cache is keyed by (together with :class:`KernelCosts`).
+# The scalar-core work around the intrinsics.  The paper's Sargantana
+# host is a 7-stage, in-order, single-issue core: every instruction
+# occupies the issue slot for one cycle and the u-engine overlaps with
+# independent loads/branches (Section III-B).  These four were fixed
+# once against the steady-state a8-w8 speedup of Section IV-B and never
+# re-tuned per configuration; the cross-configuration scaling then
+# *emerges* from the DSU schedule.
+
+#: Cycles per u-vector load into the register file (the RF holds the
+#: current ``kua*mr + kub*nr`` u-vectors, so each is loaded from L1
+#: once per k-group).
+LOAD_COST = 1
+
+#: Address generation/branch cycles per innermost (i, j) iteration
+#: that the compiler cannot fold away.
+INNER_LOOP_OVERHEAD = 4
+
+#: Per-k-group pointer bumps (LoadNextAddress in Algorithm 1).
+KGROUP_OVERHEAD = 4
+
+#: Load + add + store per output element when folding the collected
+#: u-panel into C.
+C_UPDATE_COST = 3
+
+#: name -> cycles: the whole cost table.  These are the only primitive
+#: cycle constants in the repository (REP013); the closed-form cost
+#: model (:mod:`repro.analysis.cost`) derives every per-phase term from
+#: them, and its calibration cache is keyed by this table's digest.
 ISA_COST_TABLE = {
     "bs.set": BS_SET_COST,
     "bs.ip": BS_IP_COST,
     "bs.get": BS_GET_COST,
+    "load": LOAD_COST,
+    "inner_loop_overhead": INNER_LOOP_OVERHEAD,
+    "kgroup_overhead": KGROUP_OVERHEAD,
+    "c_update": C_UPDATE_COST,
 }
-
-
-@dataclass(frozen=True)
-class KernelCosts:
-    """Scalar-core instruction costs surrounding the bs.* intrinsics.
-
-    The paper's Sargantana host is a 7-stage, in-order, single-issue core:
-    every instruction occupies the issue slot for one cycle, and the
-    u-engine overlaps with independent loads/branches (Section III-B).  The
-    u-kernel's non-bs.ip work therefore costs issue cycles:
-
-    * one cycle per u-vector load that misses the register file (the RF
-      holds the current kua*mr + kub*nr u-vectors, so each is loaded from
-      L1 once per k-group);
-    * ``inner_loop_overhead`` covers address generation/branch per innermost
-      iteration that the compiler cannot fold away;
-    * ``kgroup_overhead`` covers the per-k-group pointer bumps
-      (LoadNextAddress in Algorithm 1);
-    * ``c_update_cost`` covers the load + add + store per output element
-      when folding the collected u-panel into C.
-
-    Defaults were fixed once against the paper's steady-state a8-w8 speedup
-    (Section IV-B) and left untouched for every other configuration; the
-    cross-configuration scaling then *emerges* from the DSU schedule.
-
-    Lives next to the bs.* encodings because it *is* the rest of the ISA
-    cost table: together with :data:`ISA_COST_TABLE` these fields are the
-    only primitive cycle constants in the repository (REP013), and the
-    closed-form cost model (:mod:`repro.analysis.cost`) derives every
-    per-phase term from them.
-    """
-
-    load_cost: int = 1
-    inner_loop_overhead: int = 4
-    kgroup_overhead: int = 4
-    c_update_cost: int = 3
-    get_cost: int = 1
 
 
 class BsFunct3(enum.IntEnum):

@@ -357,3 +357,26 @@ def kc_span(blocking: BlockingParams, layout: UVectorLayout) -> int:
     k-slice never splits a u-vector.
     """
     return aligned_kc(blocking.kc * layout.elems_a, layout.group_elements)
+
+
+def gemm_tile_counts(config: MixGemmConfig, m: int,
+                     n: int) -> tuple[int, int]:
+    """(row_tiles, col_tiles) of the blocked loop nest for one GEMM."""
+    blk = config.blocking
+    row_tiles = sum(ceil_div(min(blk.mc, m - ic), blk.mr)
+                    for ic in range(0, m, blk.mc))
+    col_tiles = sum(ceil_div(min(blk.nc, n - jc), blk.nr)
+                    for jc in range(0, n, blk.nc))
+    return row_tiles, col_tiles
+
+
+def kblock_group_counts(config: MixGemmConfig, k: int) -> list[int]:
+    """Per-kc-block tile group counts, in execution order.
+
+    At most two distinct values appear (full blocks plus one tail), so
+    downstream assembly is O(1) in K after this split.
+    """
+    lay = config.layout
+    kc_eff = kc_span(config.blocking, lay)
+    return [ceil_div(min(kc_eff, k - pc), lay.group_elements)
+            for pc in range(0, k, kc_eff)]

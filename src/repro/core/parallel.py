@@ -35,7 +35,7 @@ import numpy as np
 
 from .binseg import BinSegError
 from .config import MixGemmConfig
-from .gemm import GemmResult, KernelCosts, MixGemm
+from .gemm import GemmResult, MixGemm
 from .locks import make_lock
 from .microengine import PmuCounters
 from .packcache import PackingCache
@@ -83,7 +83,6 @@ class ParallelMixGemm:
         cores: int = 2,
         *,
         emulate_datapath: bool = False,
-        costs: KernelCosts | None = None,
         barrier_cycles: int = DEFAULT_BARRIER_CYCLES,
         backend: str | None = None,
         pack_cache: PackingCache | None = None,
@@ -104,7 +103,7 @@ class ParallelMixGemm:
         # serialize on this lock instead of corrupting engine state.
         self._gemm_lock = make_lock("ParallelMixGemm._gemm_lock")
         self._executors = [                 # repro: guarded-by(_gemm_lock)
-            MixGemm(config, emulate_datapath=emulate_datapath, costs=costs,
+            MixGemm(config, emulate_datapath=emulate_datapath,
                     backend=backend, pack_cache=pack_cache)
             for _ in range(cores)
         ]

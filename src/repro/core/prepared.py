@@ -36,7 +36,7 @@ from .fastpath import (
     operand_bound,
     wrap_signed_array,
 )
-from .gemm import KernelCosts, MixGemm
+from .gemm import MixGemm
 from .packcache import PackingCache
 from .packing import _check_matrix, kc_span
 
@@ -75,7 +75,6 @@ class PreparedGemm:
         if self.k == 0 and self.n > 0:
             raise BinSegError("cannot pack an empty k vector")
         self.config = config
-        self._costs = KernelCosts()
         self.mode = ("fast" if backend_capability(config, self.k,
                                                   gemm_backend)
                      else "event")
@@ -123,8 +122,8 @@ class PreparedGemm:
         m = a.shape[0]
         cycles = self._cycles_by_m.get(m)
         if cycles is None:
-            cycles = fastpath_timing(self.config, self._costs, m,
-                                     self.n, self.k).cycles
+            cycles = fastpath_timing(self.config, m, self.n,
+                                     self.k).cycles
             self._cycles_by_m[m] = cycles
         bits = self.config.accmem_bits
         if self._single:

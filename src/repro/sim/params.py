@@ -13,7 +13,10 @@ calibration procedure (documented in DESIGN.md and EXPERIMENTS.md) fixes
 them once against three anchors of Section IV-B -- the steady-state a8-w8
 (10.2x), a4-w4 (~16x) and a2-w2 (27.2x) speedups over the DGEMM baseline
 -- and never re-tunes them per experiment; every other number the harness
-reports is then a prediction of the model.
+reports is then a prediction of the model.  The Mix-GEMM u-kernel's own
+scalar-core costs are not here: they are the ISA cost table of
+:mod:`repro.core.isa`, shared with the event engine and the exact cost
+model.
 """
 
 from __future__ import annotations
@@ -80,20 +83,8 @@ class MemoryCosts:
     cache_utilization: float = 0.75
 
 
-@dataclass(frozen=True)
-class MixKernelCosts:
-    """Scalar-core costs around the bs.* intrinsics (u-kernel loop)."""
-
-    load: float = 1.0            # u-vector load hitting L1/RF
-    inner_overhead: float = 4.0  # per (i, j) innermost iteration
-    kgroup_overhead: float = 4.0  # LoadNextAddress pointer bumps
-    get: float = 1.0
-    c_update: float = 3.0
-
-
 DEFAULT_SCALAR_COSTS = ScalarCosts()
 DEFAULT_MEMORY_COSTS = MemoryCosts()
-DEFAULT_MIX_COSTS = MixKernelCosts()
 
 #: Accumulator width in bytes: int32 for quantized GEMM, fp64 for DGEMM.
 INT_ACC_BYTES = 4

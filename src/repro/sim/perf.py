@@ -24,17 +24,23 @@ import math
 from dataclasses import dataclass
 
 from repro.core.config import MixGemmConfig
+from repro.core.isa import (
+    BS_GET_COST,
+    BS_IP_COST,
+    C_UPDATE_COST,
+    INNER_LOOP_OVERHEAD,
+    KGROUP_OVERHEAD,
+    LOAD_COST,
+)
 from repro.core.microengine import group_cycles
 from repro.core.packing import kc_span
 
 from .memory import TrafficBreakdown, gemm_traffic
 from .params import (
     DEFAULT_MEMORY_COSTS,
-    DEFAULT_MIX_COSTS,
     INT_ACC_BYTES,
     PAPER_SOC,
     MemoryCosts,
-    MixKernelCosts,
     SocParams,
 )
 
@@ -128,11 +134,9 @@ class MixGemmPerfModel:
         self,
         soc: SocParams = PAPER_SOC,
         *,
-        costs: MixKernelCosts = DEFAULT_MIX_COSTS,
         mem_costs: MemoryCosts = DEFAULT_MEMORY_COSTS,
     ) -> None:
         self.soc = soc
-        self.costs = costs
         self.mem_costs = mem_costs
 
     def gemm(self, m: int, n: int, k: int,
@@ -142,7 +146,6 @@ class MixGemmPerfModel:
             raise ValueError(f"degenerate GEMM {m}x{n}x{k}")
         blk = config.blocking
         lay = config.layout
-        costs = self.costs
 
         ge = lay.group_elements
         full_groups, rem = divmod(k, ge)
@@ -165,18 +168,18 @@ class MixGemmPerfModel:
         ku_iters = max(lay.kua, lay.kub)
         slots = blk.mr * blk.nr
         cpu_full = (
-            costs.load * (lay.kua * blk.mr + lay.kub * blk.nr)
-            + costs.kgroup_overhead
-            + slots * (ku_iters + costs.inner_overhead)
+            LOAD_COST * (lay.kua * blk.mr + lay.kub * blk.nr)
+            + KGROUP_OVERHEAD
+            + slots * (ku_iters * BS_IP_COST + INNER_LOOP_OVERHEAD)
         )
         per_pair_cpu = full_groups * cpu_full / slots
         if rem:
             wa = math.ceil(rem / lay.elems_a)
             wb = math.ceil(rem / lay.elems_b)
             cpu_rem = (
-                costs.load * (wa * blk.mr + wb * blk.nr)
-                + costs.kgroup_overhead
-                + slots * (max(wa, wb) + costs.inner_overhead)
+                LOAD_COST * (wa * blk.mr + wb * blk.nr)
+                + KGROUP_OVERHEAD
+                + slots * (max(wa, wb) * BS_IP_COST + INNER_LOOP_OVERHEAD)
             )
             per_pair_cpu += cpu_rem / slots
 
@@ -186,7 +189,8 @@ class MixGemmPerfModel:
 
         # Collection + C update: one bs.get + accumulate per output per
         # k-block.
-        collection = outputs * k_blocks * (costs.get + costs.c_update)
+        collection = float(outputs * k_blocks
+                           * (BS_GET_COST + C_UPDATE_COST))
 
         traffic = gemm_traffic(
             m, n, k,

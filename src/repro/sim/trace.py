@@ -59,7 +59,7 @@ class GemmMemorySystem:
     Plugs into :class:`repro.core.gemm.MixGemm` (its ``memory`` hook):
     every u-vector load and C update is charged the latency the
     set-associative hierarchy actually produces, instead of the constant
-    issue costs of :class:`~repro.core.gemm.KernelCosts`.  This closes
+    ``LOAD_COST``/``C_UPDATE_COST`` of :mod:`repro.core.isa`.  This closes
     the loop between the bit-exact simulator and the cache model: one run
     yields exact values, exact instruction counts, and cache-accurate
     stall cycles.

@@ -20,20 +20,16 @@ blocking.  Two M values that tuned to different winners both match at
 compile time; the most recently written entry wins, which is the right
 bias for a cache that a fresh campaign refreshes in one pass.
 
-Writes are atomic -- serialized to a temporary file in the same
-directory, then published with :func:`os.replace` -- so a concurrent
-reader (or a crash mid-write) sees either the old entry or the new
-one, never a torn file.  Lint rule REP012 enforces exactly this
-discipline on this module.  Corrupt or version-skewed entries are
-reported once as a structured
+File I/O goes through :class:`repro.store.JsonStore`: writes publish
+atomically, so a concurrent reader (or a crash mid-write) sees either
+the old entry or the new one, never a torn file, and corrupt or
+version-skewed entries are reported as a structured
 :class:`~repro.robustness.errors.ReliabilityWarning` and skipped:
 cache damage degrades to default blocking, never to a failed compile.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 import pathlib
 import warnings
@@ -43,6 +39,7 @@ from typing import Optional
 from repro.core.config import BlockingParams, MixGemmConfig
 from repro.core.prepared import backend_capability
 from repro.robustness.errors import ReliabilityWarning
+from repro.store import JsonStore, cache_dir, digest
 
 #: Version of the on-disk entry schema.  Bump on any layout change;
 #: readers skip (with a warning) entries written by a different
@@ -55,23 +52,14 @@ TUNE_CACHE_ENV = "REPRO_TUNE_CACHE"
 
 def default_cache_dir() -> pathlib.Path:
     """The cache directory: ``$REPRO_TUNE_CACHE`` or ``~/.cache/repro/tune``."""
-    env = os.environ.get(TUNE_CACHE_ENV, "").strip()
-    if env:
-        return pathlib.Path(env)
-    return pathlib.Path.home() / ".cache" / "repro" / "tune"
-
-
-def _digest(fields: dict) -> str:
-    payload = json.dumps(fields, sort_keys=True,
-                         separators=(",", ":")).encode()
-    return hashlib.sha256(payload).hexdigest()[:20]
+    return cache_dir(None, TUNE_CACHE_ENV, "tune")
 
 
 def shape_digest(*, n: int, k: int, bw_a: int, bw_w: int, signed_a: bool,
                  accmem_bits: int, fuse: bool, gemm_backend: str,
                  fast_ok: bool) -> str:
     """The M-free digest plan compilation looks layers up by."""
-    return _digest({
+    return digest({
         "n": n, "k": k, "bw_a": bw_a, "bw_w": bw_w,
         "signed_a": signed_a, "accmem_bits": accmem_bits,
         "fuse": fuse, "gemm_backend": gemm_backend, "fast_ok": fast_ok,
@@ -104,7 +92,7 @@ class TuneKey:
 
     def digest(self) -> str:
         """Full content hash (M included): the tuning-dedup identity."""
-        return _digest({
+        return digest({
             "m": self.m, "n": self.n, "k": self.k,
             "bw_a": self.bw_a, "bw_w": self.bw_w,
             "signed_a": self.signed_a, "accmem_bits": self.accmem_bits,
@@ -199,7 +187,7 @@ class TuneEntry:
 
 
 class TuneCache:
-    """Directory of :class:`TuneEntry` files with atomic publication.
+    """Directory of :class:`TuneEntry` files, one per full-key digest.
 
     ``hits``/``misses`` count full-key :meth:`get` lookups -- the
     tuner's dedup accounting ("did this layer shape tune before?").
@@ -208,34 +196,26 @@ class TuneCache:
     """
 
     def __init__(self, path: Optional[os.PathLike] = None) -> None:
-        self.path = pathlib.Path(path) if path is not None \
-            else default_cache_dir()
+        self._store = JsonStore(path, env=TUNE_CACHE_ENV, subdir="tune",
+                                label="tune-cache")
         self.hits = 0
         self.misses = 0
         self._shape_index: Optional[dict[str, TuneEntry]] = None
 
-    # -- reading ------------------------------------------------------
+    @property
+    def path(self) -> pathlib.Path:
+        """The cache directory."""
+        return self._store.path
 
-    def _load_file(self, path: pathlib.Path) -> Optional[TuneEntry]:
-        """Parse one entry file; damaged/skewed files warn and read as
-        absent (default blocking), never raise into plan compile."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return TuneEntry.from_dict(payload)
-        except (OSError, ValueError, KeyError, TypeError) as exc:
-            warnings.warn(ReliabilityWarning(
-                f"ignoring tune-cache entry {path.name}: "
-                f"{type(exc).__name__}: {exc}"), stacklevel=3)
-            return None
+    # -- reading ------------------------------------------------------
 
     def get(self, key: TuneKey) -> Optional[TuneEntry]:
         """Full-digest lookup; counts toward ``hits``/``misses``."""
-        path = self.path / f"{key.digest()}.json"
-        entry = self._load_file(path) if path.is_file() else None
+        name = f"{key.digest()}.json"
+        entry = self._store.load(name, TuneEntry.from_dict)
         if entry is not None and entry.key != key:
             warnings.warn(ReliabilityWarning(
-                f"tune-cache entry {path.name} does not match its own "
+                f"tune-cache entry {name} does not match its own "
                 f"digest (hash collision or tampering); ignoring it"),
                 stacklevel=2)
             entry = None
@@ -247,14 +227,9 @@ class TuneCache:
 
     def entries(self) -> list[TuneEntry]:
         """Every readable entry, sorted by file name (deterministic)."""
-        if not self.path.is_dir():
-            return []
-        loaded = []
-        for path in sorted(self.path.glob("*.json")):
-            entry = self._load_file(path)
-            if entry is not None:
-                loaded.append(entry)
-        return loaded
+        loaded = (self._store.load(name, TuneEntry.from_dict)
+                  for name in self._store.names())
+        return [entry for entry in loaded if entry is not None]
 
     def lookup_shape(self, digest: str) -> Optional[TuneEntry]:
         """M-free lookup used by ``compile_graph(..., tuned=True)``.
@@ -272,35 +247,15 @@ class TuneCache:
 
     def put(self, entry: TuneEntry) -> pathlib.Path:
         """Persist ``entry`` atomically; returns the published path."""
-        self.path.mkdir(parents=True, exist_ok=True)
-        final = self.path / f"{entry.key.digest()}.json"
-        tmp = self.path / f"{final.name}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                json.dump(entry.as_dict(), fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            os.replace(tmp, final)
-        except OSError:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        final = self._store.write(f"{entry.key.digest()}.json",
+                                  entry.as_dict())
         self._shape_index = None
         return final
 
     def clear(self) -> int:
         """Delete every entry file; returns how many were removed."""
-        removed = 0
-        if self.path.is_dir():
-            for path in sorted(self.path.glob("*.json")):
-                try:
-                    os.unlink(path)
-                    removed += 1
-                except OSError:
-                    continue
         self._shape_index = None
-        return removed
+        return self._store.clear()
 
 
 __all__ = [

@@ -138,8 +138,7 @@ def candidate_space(
 
 
 def analytic_score(config: MixGemmConfig, candidate: Candidate,
-                   m: int, n: int, k: int, *,
-                   costs=None) -> tuple[int, int]:
+                   m: int, n: int, k: int) -> tuple[int, int]:
     """Closed-form rank of one candidate: (backend rank, predicted cycles).
 
     Scores come from the calibrated cost model
@@ -166,14 +165,14 @@ def analytic_score(config: MixGemmConfig, candidate: Candidate,
         chunk = max(nr, ceil(chunk / nr) * nr)
         n_eff = min(n_eff, chunk)
         barrier = DEFAULT_BARRIER_CYCLES
-    breakdown = predict_gemm(cfg, costs, max(m, 1), n_eff, max(k, 1))
+    breakdown = predict_gemm(cfg, None, max(m, 1), n_eff, max(k, 1))
     backend_rank = 0 if candidate.backend == "fast" else 1
     return (backend_rank, breakdown.cycles + barrier)
 
 
 def prefilter_candidates(
     config: MixGemmConfig, candidates: Sequence[Candidate],
-    m: int, n: int, k: int, *, costs=None,
+    m: int, n: int, k: int,
 ) -> tuple[list[Candidate], int]:
     """Analytically score the full space; keep the promising half.
 
@@ -188,7 +187,7 @@ def prefilter_candidates(
     candidates = list(candidates)
     if len(candidates) <= 3:
         return candidates, len(candidates)
-    scores = [analytic_score(config, cand, m, n, k, costs=costs)
+    scores = [analytic_score(config, cand, m, n, k)
               for cand in candidates]
     target = max(2, len(candidates) // 2)
     order = sorted(range(len(candidates)), key=lambda i: (scores[i], i))

@@ -534,6 +534,18 @@ class TestRep012AtomicWrites:
         """
         assert rules(src, path=TUNE_CACHE_PATH) == ["REP012"]
 
+    @pytest.mark.parametrize("path", [
+        "src/repro/store.py", "src/repro/analysis/cost/calibrate.py"])
+    def test_plain_write_flagged_in_store_and_cost_cache(self, path):
+        src = """
+        import json
+
+        def save(path, payload):
+            with open(path, "w") as fh:
+                json.dump(payload, fh)
+        """
+        assert rules(src, path=path) == ["REP012"]
+
     def test_temp_plus_replace_passes(self):
         src = """
         import json, os

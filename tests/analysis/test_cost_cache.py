@@ -9,6 +9,8 @@ calibration.
 import dataclasses
 import json
 import os
+import sys
+import threading
 
 import pytest
 
@@ -17,10 +19,12 @@ from repro.analysis.cost import (
     COST_SCHEMA_VERSION,
     CostCache,
     calibrate_tile,
+    cost_table_digest,
     get_tile_calibration,
 )
 from repro.analysis.cost.calibrate import clear_calibration_memo
 from repro.core.config import BlockingParams, MixGemmConfig
+from repro.core.isa import ISA_COST_TABLE
 from repro.robustness.errors import ReliabilityWarning
 
 CONFIG = MixGemmConfig(bw_a=4, bw_b=4,
@@ -65,6 +69,35 @@ class TestRoundTrip:
         cache, _ = _warm(tmp_path)
         assert cache.clear() == 1
         assert cache.get(CONFIG) is None
+
+    def test_concurrent_puts_of_one_entry_all_publish(self, tmp_path):
+        # Threads of one process calibrating the same tile on a cold
+        # cache publish the same entry at once; none may fail.
+        cache, _ = _warm(tmp_path)
+        calibration = cache.get(CONFIG)
+        errors = []
+
+        def writer():
+            for _ in range(50):
+                try:
+                    cache.put(calibration)
+                except OSError as exc:
+                    errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert not list(cache.path.glob("*.tmp"))
+        assert CostCache(cache.path).get(CONFIG) == calibration
 
 
 class TestDamage:
@@ -147,3 +180,18 @@ class TestMemo:
         get_tile_calibration(CONFIG, cache=cache)
         assert cache.hits >= 1
         assert cache.misses == before
+
+
+class TestCostTableDigest:
+    @pytest.mark.parametrize("name", sorted(ISA_COST_TABLE))
+    def test_table_edit_changes_digest_and_strands_entries(
+            self, tmp_path, monkeypatch, name):
+        cache, _ = _warm(tmp_path)
+        before = cost_table_digest()
+        monkeypatch.setitem(ISA_COST_TABLE, name, ISA_COST_TABLE[name] + 1)
+        assert cost_table_digest() != before
+        assert cache.get(CONFIG) is None
+        assert (cache.hits, cache.misses) == (0, 1)
+        monkeypatch.undo()
+        assert cost_table_digest() == before
+        assert cache.get(CONFIG) is not None

@@ -91,9 +91,9 @@ class TestDrift:
 
         real = checker_mod.get_tile_calibration
 
-        def inexact(config, costs=None, cache=None):
+        def inexact(config, cache=None):
             import dataclasses
-            return dataclasses.replace(real(config, costs, cache),
+            return dataclasses.replace(real(config, cache),
                                        exact=False)
 
         monkeypatch.setattr(checker_mod, "get_tile_calibration", inexact)

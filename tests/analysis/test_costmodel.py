@@ -28,7 +28,7 @@ from repro.analysis.cost.calibrate import (
 )
 from repro.core.config import BlockingParams, MixGemmConfig
 from repro.core.fastpath import _tile_timing_engine
-from repro.core.gemm import KernelCosts, MixGemm
+from repro.core.gemm import MixGemm
 
 
 @pytest.fixture(autouse=True)
@@ -63,14 +63,13 @@ class TestCalibration:
 
     def test_timing_matches_engine_beyond_probes_and_holdouts(self):
         config = _cfg(6, 4)
-        costs = KernelCosts()
-        calibration = get_tile_calibration(config, costs)
+        calibration = get_tile_calibration(config)
         probed = set(PROBE_GROUPS) | set(HOLDOUT_GROUPS)
         for g in sorted(probed | {7, 20, 50}):
             assert calibration.timing(g) == \
                 _tile_timing_engine(
                     dataclasses.replace(config, backend="event"),
-                    costs, g), f"g={g}"
+                    g), f"g={g}"
 
 
 class TestPredictGemm:

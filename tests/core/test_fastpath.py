@@ -24,7 +24,7 @@ from repro.core.fastpath import (
     run_fastpath,
     wrap_signed_array,
 )
-from repro.core.gemm import KernelCosts, MixGemm
+from repro.core.gemm import MixGemm
 from repro.core.microengine import wrap_signed
 from repro.core.packcache import PackingCache
 from repro.core.prepared import PreparedGemm
@@ -116,7 +116,7 @@ class TestValuesAndTiming:
         c_event, cycles_event = event(a)
         np.testing.assert_array_equal(c_fast, c_event)
         assert cycles_fast == cycles_event
-        oneshot = run_fastpath(config, KernelCosts(), a, b)
+        oneshot = run_fastpath(config, a, b)
         np.testing.assert_array_equal(c_fast, oneshot.c)
         assert cycles_fast == oneshot.cycles
         assert not np.array_equal(c_fast, a @ b)  # the wrap is live
@@ -240,7 +240,7 @@ class TestErrorParity:
         config = make_config(blocking=blk)
         a, b = random_operands(config, 4, 4, 4)
         with pytest.raises(FastPathFallback):
-            run_fastpath(config, KernelCosts(), a, b)
+            run_fastpath(config, a, b)
 
     def test_run_fastpath_checks_b_before_refusing(self):
         # A malformed B is reported even when the fast path would refuse.
@@ -249,7 +249,7 @@ class TestErrorParity:
         a = np.ones((2, 2), dtype=np.int64)
         b = np.full((2, 2), 100)
         with pytest.raises(BinSegError):
-            run_fastpath(config, KernelCosts(), a, b)
+            run_fastpath(config, a, b)
 
 
 class TestWrapSignedArray:
@@ -304,10 +304,10 @@ class TestBlockingOverrideEquivalence:
 
         base = make_config(accmem_bits=64)
         a, b = random_operands(base, 8, 4096, 8, seed=3)
-        reference = run_fastpath(base, KernelCosts(), a, b).c
+        reference = run_fastpath(base, a, b).c
         cfg = replace(base, blocking=BlockingParams(
             mc=8, nc=8, kc=kc, mr=4, nr=4))
-        got = run_fastpath(cfg, KernelCosts(), a, b).c
+        got = run_fastpath(cfg, a, b).c
         np.testing.assert_array_equal(got, reference)
         np.testing.assert_array_equal(got, a.astype(np.int64) @ b)
 
@@ -320,19 +320,20 @@ class TestBlockingOverrideEquivalence:
         base = make_config(accmem_bits=20, blocking=BlockingParams(
             mc=16, nc=16, kc=16, mr=4, nr=4))
         a, b = random_operands(base, 4, 4096, 4, seed=9)
-        small = run_fastpath(base, KernelCosts(), a, b).c
+        small = run_fastpath(base, a, b).c
         big = run_fastpath(
             replace(base, blocking=BlockingParams(
                 mc=16, nc=16, kc=1024, mr=4, nr=4)),
-            KernelCosts(), a, b).c
+            a, b).c
         assert not np.array_equal(small, big)
 
 
 class TestCostOracleToggle:
-    """Satellite of the cost-model PR: ``COST_ORACLE`` substitutes the
-    calibrated closed form for the per-tile engine run, and flipping it
-    must never change a cycle -- including the cumulative folding an
-    executor does across repeated ``gemm()`` calls."""
+    """The fast path substitutes an exact calibrated closed form for the
+    per-tile engine run; pinning the engine reference instead (an
+    ``exact_tile_timing`` that vouches for nothing) must never change a
+    cycle -- including the cumulative folding an executor does across
+    repeated ``gemm()`` calls."""
 
     @pytest.fixture(autouse=True)
     def _isolated_cost_cache(self, tmp_path, monkeypatch):
@@ -357,15 +358,19 @@ class TestCostOracleToggle:
                 clear()
 
     def _with_oracle(self, monkeypatch, enabled, fn):
-        from repro.core import fastpath
+        import repro.analysis.cost.calibrate as calibrate_mod
 
-        monkeypatch.setattr(fastpath, "COST_ORACLE", enabled)
-        self._clear_caches()
-        try:
-            return fn()
-        finally:
-            monkeypatch.undo()
+        # A context, not monkeypatch.undo(): undo would also drop the
+        # fixture's cache-directory override.
+        with monkeypatch.context() as patch:
+            if not enabled:
+                patch.setattr(calibrate_mod, "exact_tile_timing",
+                              lambda *args, **kw: None)
             self._clear_caches()
+            try:
+                return fn()
+            finally:
+                self._clear_caches()
 
     @pytest.mark.parametrize("bw_a,bw_b", [(8, 8), (6, 4)])
     def test_oracle_on_off_identical_results(self, monkeypatch,
@@ -374,7 +379,7 @@ class TestCostOracleToggle:
         a, b = random_operands(config, 5, 12, 6, seed=11)
 
         def run():
-            return run_fastpath(config, KernelCosts(), a, b)
+            return run_fastpath(config, a, b)
 
         on = self._with_oracle(monkeypatch, True, run)
         off = self._with_oracle(monkeypatch, False, run)
@@ -390,7 +395,7 @@ class TestCostOracleToggle:
         shapes = [(5, 6, 12), (8, 8, 64), (1, 3, 11)]
 
         def time_all():
-            return [fastpath_timing(config, KernelCosts(), m, n, k)
+            return [fastpath_timing(config, m, n, k)
                     for m, n, k in shapes]
 
         on = self._with_oracle(monkeypatch, True, time_all)
@@ -431,7 +436,7 @@ class TestCostOracleToggle:
             lambda *args, **kw: pytest.fail(
                 "fast path ran the engine despite a warm calibration"))
         a, b = random_operands(config, 5, 12, 6, seed=7)
-        result = run_fastpath(config, KernelCosts(), a, b)
+        result = run_fastpath(config, a, b)
         assert result.cycles > 0
 
     def test_inexact_calibration_falls_back_to_engine(self, monkeypatch):
@@ -443,9 +448,9 @@ class TestCostOracleToggle:
         a, b = random_operands(config, 5, 12, 6, seed=13)
 
         def run():
-            return run_fastpath(config, KernelCosts(), a, b)
+            return run_fastpath(config, a, b)
 
-        reference = self._with_oracle(monkeypatch, False, run)
+        reference = self._with_oracle(monkeypatch, True, run)
         monkeypatch.setattr(calibrate_mod, "exact_tile_timing",
                             lambda *args, **kw: None)
         self._clear_caches()

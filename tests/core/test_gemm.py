@@ -6,7 +6,6 @@ import pytest
 from repro.core.binseg import BinSegError
 from repro.core.config import BlockingParams, MixGemmConfig
 from repro.core.gemm import (
-    KernelCosts,
     MixGemm,
     macs_for,
     mix_gemm,
@@ -169,22 +168,7 @@ class TestPerformanceShape:
         )
 
 
-class TestKernelCosts:
-    def test_costs_affect_cycle_count_when_cpu_bound(self):
-        rng = np.random.default_rng(9)
-        a, b = _random_operands(rng, 8, 64, 8, 8, 8)
-        cheap = MixGemm(
-            MixGemmConfig(blocking=SMALL_BLOCKING),
-            emulate_datapath=False,
-            costs=KernelCosts(load_cost=1, inner_loop_overhead=0),
-        ).gemm(a, b)
-        dear = MixGemm(
-            MixGemmConfig(blocking=SMALL_BLOCKING),
-            emulate_datapath=False,
-            costs=KernelCosts(load_cost=4, inner_loop_overhead=8),
-        ).gemm(a, b)
-        assert dear.cycles > cheap.cycles
-
+class TestUvectorLoads:
     def test_uvector_loads_formula(self):
         cfg = MixGemmConfig(bw_a=8, bw_b=8)
         # 4x4 tile grid over 16x16, 2 k-groups of 32.
